@@ -3,11 +3,18 @@
 These are the building blocks shared by the Atlas DRL-based genetic algorithm, the
 NSGA-II variant used in the ablation of Figure 21 and the affinity-based GA baseline.
 All objectives are minimized.
+
+Every set-level operation — :func:`non_dominated_sort`, :func:`pareto_front` and
+:func:`merge_fronts` — runs on one numpy dominance matrix (:func:`_dominance`):
+``D[i, j]`` is true when row ``i`` dominates row ``j`` under exactly the rule of
+:func:`dominates`.  It is built one objective at a time, so the working set is a
+few ``n x n`` boolean matrices, never an ``n x n x K`` broadcast.  The scalar
+:func:`dominates` stays the definition of the rule for single pairs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple, TypeVar
+from typing import Callable, List, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -23,7 +30,6 @@ __all__ = [
 ]
 
 T = TypeVar("T")
-Objectives = Tuple[float, ...]
 
 
 def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
@@ -33,23 +39,42 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
 
 
+def _objective_matrix(objectives: Sequence[Sequence[float]]) -> np.ndarray:
+    """The ``(n, K)`` float matrix of ``objectives``; ragged rows raise ``ValueError``."""
+    rows = [tuple(row) for row in objectives]
+    width = len(rows[0]) if rows else 0
+    if any(len(row) != width for row in rows):
+        raise ValueError("objective vectors must have the same length")
+    return np.asarray(rows, dtype=float).reshape(len(rows), width)
+
+
+def _dominance(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(D, E)`` for an ``(n, K)`` matrix: ``D[i, j]`` when row i dominates row j,
+    ``E[i, j]`` when the two rows are equal.
+
+    ``W[i, j]`` (row i is <= row j everywhere) is accumulated one objective column
+    at a time; then "dominates" is ``W & ~W.T`` (<= everywhere and not >=
+    everywhere, i.e. at least one <) and "equal" is ``W & W.T``.
+    """
+    n = points.shape[0]
+    weakly = np.ones((n, n), dtype=bool)
+    scratch = np.empty((n, n), dtype=bool)
+    for column in points.T:
+        np.less_equal(column[:, None], column[None, :], out=scratch)
+        weakly &= scratch
+    return weakly & ~weakly.T, weakly & weakly.T
+
+
 def pareto_front(items: Sequence[T], key: Callable[[T], Sequence[float]]) -> List[T]:
-    """The non-dominated subset of ``items`` under the objective extractor ``key``."""
-    objectives = [tuple(key(item)) for item in items]
-    front: List[T] = []
-    for i, item in enumerate(items):
-        dominated = False
-        for j, other in enumerate(objectives):
-            if i != j and dominates(other, objectives[i]):
-                dominated = True
-                break
-            # Deduplicate identical objective vectors, keeping the first occurrence.
-            if j < i and other == objectives[i]:
-                dominated = True
-                break
-        if not dominated:
-            front.append(item)
-    return front
+    """The non-dominated subset of ``items`` under the objective extractor ``key``.
+
+    An item survives when no item dominates it and no *earlier* item has an equal
+    objective vector (first-occurrence deduplication); survivors keep input order.
+    """
+    points = _objective_matrix([key(item) for item in items])
+    dominated, equal = _dominance(points)
+    lost = dominated.any(axis=0) | np.triu(equal, 1).any(axis=0)
+    return [items[i] for i in np.flatnonzero(~lost)]
 
 
 def merge_fronts(
@@ -57,66 +82,35 @@ def merge_fronts(
 ) -> List[T]:
     """Merge per-island Pareto fronts into one non-dominated front.
 
-    Equivalent to :func:`pareto_front` over the concatenation of all fronts (same
-    dominance rule, same first-occurrence deduplication of identical objective
-    vectors, same concatenation-order output), but maintained incrementally: each
-    incoming item is compared against the merged set only, dominated survivors are
-    evicted as better items arrive.  This is the K-dim merge the island-model
-    parallel search applies to the per-worker fronts, and the law the property
-    suite in ``tests/test_parallel.py`` pins down.
+    Defined as :func:`pareto_front` over the concatenation of all fronts: the same
+    dominance rule, the same first-occurrence deduplication of identical objective
+    vectors and the same concatenation-order output.  This is the K-dim merge the
+    island-model parallel search applies to the per-worker fronts, and the law the
+    property suite in ``tests/test_parallel.py`` pins down.
     """
-    merged: List[T] = []
-    merged_objectives: List[Objectives] = []
-    for front in fronts:
-        for item in front:
-            objectives = tuple(float(v) for v in key(item))
-            skip = False
-            for kept in merged_objectives:
-                if kept == objectives or dominates(kept, objectives):
-                    skip = True
-                    break
-            if skip:
-                continue
-            survivors = [
-                i
-                for i, kept in enumerate(merged_objectives)
-                if not dominates(objectives, kept)
-            ]
-            if len(survivors) != len(merged):
-                merged = [merged[i] for i in survivors]
-                merged_objectives = [merged_objectives[i] for i in survivors]
-            merged.append(item)
-            merged_objectives.append(objectives)
-    return merged
+    return pareto_front([item for front in fronts for item in front], key)
 
 
 def non_dominated_sort(objectives: Sequence[Sequence[float]]) -> List[List[int]]:
-    """NSGA-II fast non-dominated sort: indices grouped into fronts (front 0 is best)."""
-    n = len(objectives)
-    dominated_by: List[List[int]] = [[] for _ in range(n)]
-    domination_count = [0] * n
-    fronts: List[List[int]] = [[]]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if dominates(objectives[i], objectives[j]):
-                dominated_by[i].append(j)
-            elif dominates(objectives[j], objectives[i]):
-                domination_count[i] += 1
-        if domination_count[i] == 0:
-            fronts[0].append(i)
-    current = 0
-    while fronts[current]:
-        next_front: List[int] = []
-        for i in fronts[current]:
-            for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    next_front.append(j)
-        current += 1
-        fronts.append(next_front)
-    return [front for front in fronts if front]
+    """NSGA-II fast non-dominated sort: indices grouped into fronts (front 0 is best).
+
+    Fronts come out in the discovery order of Deb et al.'s peeling loop: front 0
+    in ascending index order; an index joins front ``r + 1`` when its last
+    dominator in front ``r`` is processed, so within front ``r + 1`` indices are
+    ordered by (position of that last dominator in front ``r``, index).
+    """
+    dominated, _ = _dominance(_objective_matrix(objectives))
+    remaining = dominated.sum(axis=0)
+    front = np.flatnonzero(remaining == 0)
+    fronts: List[List[int]] = []
+    while front.size:
+        fronts.append(front.tolist())
+        below = dominated[front]
+        remaining -= below.sum(axis=0)
+        released = np.flatnonzero(below.any(axis=0) & (remaining == 0))
+        last = len(front) - 1 - np.argmax(below[::-1, released], axis=0)
+        front = released[np.argsort(last, kind="stable")]
+    return fronts
 
 
 def crowding_distance(objectives: Sequence[Sequence[float]]) -> List[float]:

@@ -117,11 +117,14 @@ class PlanQuality:
             raise KeyError(f"no objective named {name!r} in {names}") from None
 
     def dominates(self, other: "PlanQuality") -> bool:
-        """Pareto dominance on the objective vector (feasibility handled upstream)."""
-        mine, theirs = self.objectives(), other.objectives()
-        return all(a <= b for a, b in zip(mine, theirs)) and any(
-            a < b for a, b in zip(mine, theirs)
-        )
+        """Pareto dominance on the objective vector (feasibility handled upstream).
+
+        Qualities with objective vectors of different lengths raise ``ValueError``.
+        """
+        # Function-local: repro.optimizer imports repro.quality.
+        from ..optimizer.pareto import dominates
+
+        return dominates(self.objectives(), other.objectives())
 
 
 @dataclass

@@ -2,6 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from pareto_oracles import (
+    oracle_merge_fronts,
+    oracle_non_dominated_sort,
+    oracle_pareto_front,
+)
 
 from repro.cluster import CLOUD, ON_PREM, MigrationPlan
 from repro.optimizer import (
@@ -13,6 +20,7 @@ from repro.optimizer import (
     crowding_distance,
     dominates,
     hypervolume_2d,
+    merge_fronts,
     non_dominated_sort,
     pareto_front,
     rank_population,
@@ -20,7 +28,11 @@ from repro.optimizer import (
     tournament_pairs,
     uniform_crossover,
 )
-from repro.optimizer.atlas_ga import affinity_seed_vectors, penalized_objectives
+from repro.optimizer.atlas_ga import (
+    _INFEASIBILITY_PENALTY,
+    affinity_seed_vectors,
+    penalized_objectives,
+)
 from repro.quality.evaluator import PlanQuality
 
 
@@ -68,6 +80,96 @@ class TestParetoTools:
         strong = [(2.0, 8.0), (8.0, 2.0), (4.0, 4.0)]
         assert hypervolume_2d(strong, reference) > hypervolume_2d(weak, reference)
         assert hypervolume_2d([], reference) == 0.0
+
+
+#: Objective values: tie-heavy integer grids, or finite floats.
+_OBJECTIVE_VALUES = (
+    st.integers(0, 1).map(float),
+    st.integers(0, 4).map(float),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _objective_rows(draw, max_rows=130):
+    """0..max_rows K-vectors (K in 1..4) with exact duplicates, some rows offset by
+    the GA's infeasibility penalty times 1 or 2 violations."""
+    width = draw(st.integers(1, 4))
+    values = draw(st.sampled_from(_OBJECTIVE_VALUES))
+    distinct = draw(st.lists(st.tuples(*[values] * width), min_size=1, max_size=40))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), max_size=max_rows))
+    violations = draw(
+        st.lists(st.sampled_from((0, 0, 0, 1, 2)), min_size=len(picks), max_size=len(picks))
+    )
+    return [
+        tuple(v + _INFEASIBILITY_PENALTY * count for v in distinct[pick])
+        for pick, count in zip(picks, violations)
+    ]
+
+
+@st.composite
+def _partitioned_items(draw):
+    """Distinct item objects over :func:`_objective_rows`, split into 0..4 fronts."""
+    items = [{"obj": row} for row in draw(_objective_rows())]
+    cuts = sorted(draw(st.lists(st.integers(0, len(items)), max_size=3)))
+    bounds = [0, *cuts, len(items)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _same_items(left, right):
+    return len(left) == len(right) and all(a is b for a, b in zip(left, right))
+
+
+class TestDominanceKernelMatchesOracle:
+    """The numpy kernel against the pairwise loops it replaced (tests/pareto_oracles.py)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=_objective_rows())
+    def test_sort_same_fronts_same_order(self, rows):
+        assert non_dominated_sort(rows) == oracle_non_dominated_sort(rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=_objective_rows())
+    def test_pareto_front_same_items_same_order(self, rows):
+        items = [{"obj": row} for row in rows]
+        key = lambda item: item["obj"]  # noqa: E731
+        assert _same_items(pareto_front(items, key), oracle_pareto_front(items, key))
+
+    @settings(max_examples=150, deadline=None)
+    @given(fronts=_partitioned_items())
+    def test_merge_fronts_same_items_same_order(self, fronts):
+        key = lambda item: item["obj"]  # noqa: E731
+        assert _same_items(merge_fronts(fronts, key), oracle_merge_fronts(fronts, key))
+
+    def test_sort_discovery_order_follows_last_dominator(self):
+        # Front 0 is [0, 1]; 3 is released by 0 (position 0), 2 only once 1
+        # (position 1) is processed, so 3 precedes 2 despite its larger index.
+        objectives = [(0.0, 2.0), (2.0, 0.0), (3.0, 1.0), (1.0, 3.0)]
+        assert non_dominated_sort(objectives) == [[0, 1], [3, 2]]
+        assert non_dominated_sort(objectives) == oracle_non_dominated_sort(objectives)
+
+
+class TestDominanceKernelContract:
+    RAGGED = [(1.0, 2.0), (2.0, 1.0, 0.0)]
+
+    def test_ragged_objectives_raise(self):
+        with pytest.raises(ValueError):
+            non_dominated_sort(self.RAGGED)
+        with pytest.raises(ValueError):
+            pareto_front(self.RAGGED, key=lambda p: p)
+        with pytest.raises(ValueError):
+            merge_fronts([self.RAGGED[:1], self.RAGGED[1:]], key=lambda p: p)
+
+    def test_empty_input(self):
+        assert non_dominated_sort([]) == []
+        assert pareto_front([], key=lambda p: p) == []
+        assert merge_fronts([], key=lambda p: p) == []
+        assert merge_fronts([[], []], key=lambda p: p) == []
+
+    def test_single_objective_is_a_total_order_with_ties_in_index_order(self):
+        values = [(3.0,), (1.0,), (3.0,), (2.0,), (1.0,)]
+        assert non_dominated_sort(values) == [[1, 4], [3], [0, 2]]
+        assert pareto_front(list(range(5)), key=lambda i: values[i]) == [1]
 
 
 class TestNSGA2Machinery:
@@ -203,6 +305,18 @@ def _quality(vector, perf, avail, cost, feasible=True):
     plan = MigrationPlan.from_vector([f"c{i}" for i in range(len(vector))], vector)
     return PlanQuality(plan=plan, perf=perf, avail=avail, cost=cost, feasible=feasible,
                        violations=() if feasible else ("v",))
+
+
+class TestPlanQualityDominates:
+    def test_mismatched_objective_lengths_raise(self):
+        plan = MigrationPlan.from_vector(["c0"], [0])
+        two = PlanQuality(plan, 1.0, 1.0, 1.0, True, values=(1.0, 1.0))
+        three = PlanQuality(plan, 2.0, 2.0, 0.0, True, values=(2.0, 2.0, 0.0))
+        # A prefix comparison would claim (1, 1) dominates (2, 2, 0).
+        with pytest.raises(ValueError):
+            two.dominates(three)
+        with pytest.raises(ValueError):
+            three.dominates(two)
 
 
 class TestAtlasGAHelpers:

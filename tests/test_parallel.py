@@ -3,9 +3,11 @@
 Four pillars, mirroring the determinism contract in ``optimizer/parallel.py``:
 
 1. **Merge law** (property-based): :func:`merge_fronts` over any partition of items
-   into per-island fronts equals one :func:`pareto_front` over the union — same
+   into per-island fronts equals one Pareto filter over the union — same
    dominance rule, same first-occurrence dedup, same order.  This is what makes the
-   parent's K-dim merge of per-island fronts trustworthy.
+   parent's K-dim merge of per-island fronts trustworthy.  The reference is the
+   pairwise-loop oracle in ``pareto_oracles.py``: ``merge_fronts`` is itself
+   defined through ``pareto_front``, so comparing those two would be circular.
 2. **Cross-process determinism**: the same ``(seed, islands, migration_period)``
    reproduces the identical ``SearchResult`` fingerprint across two full runs, for
    the Atlas GA and both parallel baselines (W=4 variants are ``slow``-marked).
@@ -31,8 +33,9 @@ from fingerprints import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pareto_oracles import oracle_pareto_front
 
-from repro.optimizer import AtlasGA, GAConfig, merge_fronts, pareto_front
+from repro.optimizer import AtlasGA, GAConfig, merge_fronts
 from repro.optimizer.baselines import AffinityNSGA2Baseline, RandomSearchBaseline
 from repro.optimizer.parallel import (
     ParallelSearchError,
@@ -74,7 +77,7 @@ class TestMergeLaw:
     def test_merge_equals_pareto_front_over_union_tie_heavy(self, fronts):
         """Integer-valued objectives force duplicates, ties and dominance chains."""
         union = [item for front in fronts for item in front]
-        assert merge_fronts(fronts, key=lambda t: t) == pareto_front(
+        assert merge_fronts(fronts, key=lambda t: t) == oracle_pareto_front(
             union, key=lambda t: t
         )
 
@@ -86,7 +89,7 @@ class TestMergeLaw:
     )
     def test_merge_equals_pareto_front_over_union_floats(self, fronts):
         union = [item for front in fronts for item in front]
-        assert merge_fronts(fronts, key=lambda t: t) == pareto_front(
+        assert merge_fronts(fronts, key=lambda t: t) == oracle_pareto_front(
             union, key=lambda t: t
         )
 
