@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import datetime
 import json
+import os
 import subprocess
+import tempfile
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -126,8 +128,11 @@ def persist_run_metrics(bench: str, metrics: Dict, path: Optional[Path] = None) 
 
     The ledger is append-only across runs — ``{"schema": 1, "runs": [...]}``, each
     run stamped with a UTC timestamp and the git commit it measured — so stress /
-    certification regressions are diffable across commits.  An unreadable ledger is
-    reset rather than crashing the benchmark.  Returns the appended record.
+    certification regressions are diffable across commits.  A ledger that exists but
+    does not parse as one raises ``ValueError`` and is left untouched, so its history
+    is never dropped; the new ledger is written to a temporary file in the same
+    directory and renamed over the old one, so a crash mid-write cannot truncate it.
+    Returns the appended record.
     """
     target = Path(path) if path is not None else BENCH_METRICS_PATH
     record = {
@@ -139,11 +144,23 @@ def persist_run_metrics(bench: str, metrics: Dict, path: Optional[Path] = None) 
     ledger = {"schema": 1, "runs": []}
     if target.exists():
         try:
-            loaded = json.loads(target.read_text())
-            if isinstance(loaded, dict) and isinstance(loaded.get("runs"), list):
-                ledger = loaded
-        except (OSError, json.JSONDecodeError):
-            pass
+            ledger = json.loads(target.read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"benchmark ledger {target} is not valid JSON: {exc}") from exc
+        if not (isinstance(ledger, dict) and isinstance(ledger.get("runs"), list)):
+            raise ValueError(f"benchmark ledger {target} has no 'runs' list")
     ledger["runs"].append(record)
-    target.write_text(json.dumps(ledger, indent=2) + "\n")
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(json.dumps(ledger, indent=2) + "\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, target)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
     return record

@@ -189,6 +189,23 @@ def affinity_seed_vectors(
     return seeds
 
 
+def _equation5(child: PlanQuality, parent_a: PlanQuality, parent_b: PlanQuality) -> float:
+    """Eq. 5: the aspects in which the child beats both parents, negated if infeasible.
+
+    An infeasible child that beats its parents nowhere still scores -1 (see the
+    implementation note in ``drl/agent.py``).
+    """
+    improved = 0
+    for child_value, a_value, b_value in zip(
+        child.objectives(), parent_a.objectives(), parent_b.objectives()
+    ):
+        if min(a_value, b_value) > child_value:
+            improved += 1
+    if child.feasible:
+        return float(improved)
+    return -float(max(improved, 1))
+
+
 def penalized_objectives(quality: PlanQuality) -> Tuple[float, ...]:
     """K-objective vector with constraint-violation penalties (Deb-style feasibility rule)."""
     if quality.feasible:
@@ -442,24 +459,27 @@ class AtlasGA:
         return MigrationPlan.from_vector(self.components, list(vector))
 
     # -- reward (Eq. 5) ----------------------------------------------------------------------
-    def reward(
+    def rewards(
         self,
-        child_vector: Sequence[int],
-        parent_a: Sequence[int],
-        parent_b: Sequence[int],
-    ) -> float:
-        child, qa, qb = self.evaluator.evaluate_vectors(
-            [list(child_vector), list(parent_a), list(parent_b)], self.components
-        )
-        improved = 0
-        for child_value, a_value, b_value in zip(
-            child.objectives(), qa.objectives(), qb.objectives()
-        ):
-            if min(a_value, b_value) > child_value:
-                improved += 1
-        if child.feasible:
-            return float(improved)
-        return -float(max(improved, 1))
+        children: Sequence[Sequence[int]],
+        parents_a: Sequence[Sequence[int]],
+        parents_b: Sequence[Sequence[int]],
+    ) -> List[float]:
+        """Eq. 5 reward of each child against its two parents, in one evaluator call.
+
+        The rows go to ``evaluate_vectors`` interleaved as ``[c1, a1, b1, c2, ...]``,
+        the order in which scoring them one sample at a time would first see them, so
+        the evaluator's cache order and ``evaluations`` counter are the same either way.
+        """
+        if not len(children) == len(parents_a) == len(parents_b):
+            raise ValueError("children and parents must be aligned row for row")
+        rows: List[List[int]] = []
+        for child, parent_a, parent_b in zip(children, parents_a, parents_b):
+            rows.extend((list(child), list(parent_a), list(parent_b)))
+        qualities = self.evaluator.evaluate_vectors(rows, self.components)
+        return [
+            _equation5(*qualities[i : i + 3]) for i in range(0, len(qualities), 3)
+        ]
 
     # -- agent training ------------------------------------------------------------------------
     def train_agent(self) -> TrainingHistory:
@@ -477,7 +497,7 @@ class AtlasGA:
         ]
         history = agent.train(
             pairs,
-            self.reward,
+            self.rewards,
             iterations=self.config.train_iterations,
             batch_size=self.config.train_batch_size,
         )

@@ -16,6 +16,14 @@ categorical placement distribution, and parents are one-hot encoded by location.
 two-location path is kept byte-for-byte identical to the original binary agent
 (same architecture, same RNG consumption), so fixed-seed searches reproduce exactly.
 
+**Minibatch reward.**  The reward function is batched: ``train`` draws all
+``batch_size`` children of an iteration first, scores them with one
+:data:`RewardFunction` call (so the Atlas GA sends the whole minibatch to the
+evaluator as one matrix), then runs the per-sample critic, advantage and backward
+passes in sample order.  This is exact — the weights only change after the minibatch
+and the reward never touches the agent's RNG — so trained weights and the training
+history are bit-for-bit those of scoring each child as soon as it is drawn.
+
 Implementation note — reward for infeasible children: Eq. 5 multiplies the aspect count
 by ``(-1)^(1-λ)``, which yields exactly 0 for an infeasible child that beats its parents
 in no aspect.  We floor the infeasible reward at -1 so that infeasibility always carries
@@ -36,8 +44,12 @@ from .mlp import MLP, AdamOptimizer
 
 __all__ = ["CrossoverAgent", "RewardFunction", "TrainingHistory"]
 
-#: reward_fn(child_vector, parent_a_vector, parent_b_vector) -> float
-RewardFunction = Callable[[Sequence[int], Sequence[int], Sequence[int]], float]
+#: reward_fn(children, parents_a, parents_b) -> one reward per row.  The three
+#: sequences are aligned: row ``i`` is child ``i`` and the two parents it was bred from.
+RewardFunction = Callable[
+    [Sequence[Sequence[int]], Sequence[Sequence[int]], Sequence[Sequence[int]]],
+    Sequence[float],
+]
 
 _PROB_CLIP = 1e-6
 
@@ -58,6 +70,18 @@ class TrainingHistory:
             lo = max(0, i - window + 1)
             out.append(float(np.mean(self.mean_rewards[lo : i + 1])))
         return out
+
+
+@dataclass
+class _Sample:
+    """One drawn minibatch sample, held until its reward is known."""
+
+    parent_a: Sequence[int]
+    parent_b: Sequence[int]
+    state: np.ndarray
+    actor_cache: List[np.ndarray]
+    probs: np.ndarray
+    child: np.ndarray
 
 
 class CrossoverAgent:
@@ -153,7 +177,10 @@ class CrossoverAgent:
         N-location agent: shape ``(n_components, n_locations)`` — a categorical
         distribution over ``self.locations`` per component.
         """
-        out = self.actor(self.state(parent_a, parent_b))[0]
+        return self._policy(self.actor(self.state(parent_a, parent_b))[0])
+
+    def _policy(self, out: np.ndarray) -> np.ndarray:
+        """The placement distribution of one actor output row."""
         if self._binary:
             return np.clip(out, _PROB_CLIP, 1.0 - _PROB_CLIP)
         return self._softmax(out.reshape(self.n_components, self.n_locations))
@@ -181,15 +208,18 @@ class CrossoverAgent:
         rng: Optional[np.random.Generator] = None,
     ) -> List[int]:
         """Sample an offspring plan; pinned components are masked to their location."""
-        rng = rng or self._rng
         probs = self.child_probabilities(parent_a, parent_b)
+        return [int(v) for v in self._draw_child(probs, rng or self._rng)]
+
+    def _draw_child(self, probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Sample a location vector from ``probs``, then pin and repair it (no RNG)."""
         if self._binary:
             child = (rng.random(self.n_components) < probs).astype(int)
         else:
             indices = self._sample_categorical(probs, rng)
             child = np.asarray([self.locations[int(i)] for i in indices], dtype=int)
         self._apply_constraints(child)
-        return [int(v) for v in child]
+        return child
 
     def _apply_constraints(self, child: np.ndarray) -> None:
         """Pin forced genes, then repair any whitelist-violating draw (no RNG)."""
@@ -205,67 +235,85 @@ class CrossoverAgent:
         iterations: int = 1_000,
         batch_size: int = 4,
     ) -> TrainingHistory:
-        """Train the agent on a dataset ``D`` of parent pairs with the given reward."""
+        """Train the agent on a dataset ``D`` of parent pairs with the given reward.
+
+        Each iteration samples the whole minibatch, scores it with one ``reward_fn``
+        call, then accumulates the per-sample actor/critic gradients in sample order
+        and applies them once.  Weights only change after the minibatch and the reward
+        draws nothing from the agent's RNG, so this is the same computation as scoring
+        every sample right after drawing it.
+        """
         if not parent_pairs:
             raise ValueError("training requires at least one parent pair")
         if iterations <= 0 or batch_size <= 0:
             raise ValueError("iterations and batch_size must be positive")
         for _ in range(iterations):
-            batch_rewards: List[float] = []
-            feasible = 0
+            samples = [self._sample_child(parent_pairs) for _ in range(batch_size)]
+            rewards = [
+                float(r)
+                for r in reward_fn(
+                    [[int(v) for v in sample.child] for sample in samples],
+                    [sample.parent_a for sample in samples],
+                    [sample.parent_b for sample in samples],
+                )
+            ]
+            if len(rewards) != batch_size:
+                raise ValueError(
+                    f"reward_fn returned {len(rewards)} rewards for {batch_size} children"
+                )
             actor_grads = None
             critic_grads = None
-            for _ in range(batch_size):
-                idx = int(self._rng.integers(0, len(parent_pairs)))
-                parent_a, parent_b = parent_pairs[idx]
-                state = self.state(parent_a, parent_b)
-                out, actor_cache = self.actor.forward(state, keep_cache=True)
-                if self._binary:
-                    probs = np.clip(out, _PROB_CLIP, 1.0 - _PROB_CLIP)
-                    child = (self._rng.random(self.n_components) < probs[0]).astype(int)
-                else:
-                    probs = self._softmax(
-                        out[0].reshape(self.n_components, self.n_locations)
-                    )
-                    indices = self._sample_categorical(probs, self._rng)
-                    child = np.asarray(
-                        [self.locations[int(i)] for i in indices], dtype=int
-                    )
-                self._apply_constraints(child)
-                reward = float(reward_fn([int(v) for v in child], parent_a, parent_b))
-                batch_rewards.append(reward)
-                if reward > 0:
-                    feasible += 1
-
-                value, critic_cache = self.critic.forward(state, keep_cache=True)
-                advantage = reward - float(value[0, 0])
-
-                # Policy gradient: minimize -advantage * log π(child | state).
-                if self._binary:
-                    dlogpi_dp = child / probs[0] - (1 - child) / (1 - probs[0])
-                    actor_grad_out = (-advantage * dlogpi_dp / batch_size)[None, :]
-                else:
-                    # Softmax policy: d log π / d logits = onehot(child) - probs.
-                    chosen = np.zeros_like(probs)
-                    chosen[
-                        np.arange(self.n_components),
-                        [self._loc_index[int(v)] for v in child],
-                    ] = 1.0
-                    dlogpi_dlogits = (chosen - probs).reshape(1, -1)
-                    actor_grad_out = -advantage * dlogpi_dlogits / batch_size
-                grads_a = self.actor.backward(actor_cache, actor_grad_out)
-                # Critic: minimize (value - reward)^2.
-                critic_grad_out = np.array([[2.0 * (float(value[0, 0]) - reward) / batch_size]])
-                grads_c = self.critic.backward(critic_cache, critic_grad_out)
-
+            for sample, reward in zip(samples, rewards):
+                grads_a, grads_c = self._sample_gradients(sample, reward, batch_size)
                 actor_grads = self._accumulate(actor_grads, grads_a)
                 critic_grads = self._accumulate(critic_grads, grads_c)
 
             self.actor.apply_gradients(actor_grads, self._actor_opt)
             self.critic.apply_gradients(critic_grads, self._critic_opt)
-            self.history.mean_rewards.append(float(np.mean(batch_rewards)))
-            self.history.feasible_fractions.append(feasible / batch_size)
+            self.history.mean_rewards.append(float(np.mean(rewards)))
+            self.history.feasible_fractions.append(
+                sum(1 for reward in rewards if reward > 0) / batch_size
+            )
         return self.history
+
+    def _sample_child(
+        self, parent_pairs: Sequence[Tuple[Sequence[int], Sequence[int]]]
+    ) -> _Sample:
+        """Draw one training sample: a parent pair, the actor's forward pass and a child."""
+        idx = int(self._rng.integers(0, len(parent_pairs)))
+        parent_a, parent_b = parent_pairs[idx]
+        state = self.state(parent_a, parent_b)
+        out, actor_cache = self.actor.forward(state, keep_cache=True)
+        probs = self._policy(out[0])
+        child = self._draw_child(probs, self._rng)
+        return _Sample(parent_a, parent_b, state, actor_cache, probs, child)
+
+    def _sample_gradients(
+        self, sample: _Sample, reward: float, batch_size: int
+    ) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], List[Tuple[np.ndarray, np.ndarray]]]:
+        """Actor and critic gradients of one scored sample (critic as the baseline)."""
+        probs, child = sample.probs, sample.child
+        value, critic_cache = self.critic.forward(sample.state, keep_cache=True)
+        advantage = reward - float(value[0, 0])
+
+        # Policy gradient: minimize -advantage * log π(child | state).
+        if self._binary:
+            dlogpi_dp = child / probs - (1 - child) / (1 - probs)
+            actor_grad_out = (-advantage * dlogpi_dp / batch_size)[None, :]
+        else:
+            # Softmax policy: d log π / d logits = onehot(child) - probs.
+            chosen = np.zeros_like(probs)
+            chosen[
+                np.arange(self.n_components),
+                [self._loc_index[int(v)] for v in child],
+            ] = 1.0
+            dlogpi_dlogits = (chosen - probs).reshape(1, -1)
+            actor_grad_out = -advantage * dlogpi_dlogits / batch_size
+        grads_a = self.actor.backward(sample.actor_cache, actor_grad_out)
+        # Critic: minimize (value - reward)^2.
+        critic_grad_out = np.array([[2.0 * (float(value[0, 0]) - reward) / batch_size]])
+        grads_c = self.critic.backward(critic_cache, critic_grad_out)
+        return grads_a, grads_c
 
     @staticmethod
     def _accumulate(
@@ -275,3 +323,4 @@ class CrossoverAgent:
         if total is None:
             return [(gw.copy(), gb.copy()) for gw, gb in grads]
         return [(tw + gw, tb + gb) for (tw, tb), (gw, gb) in zip(total, grads)]
+

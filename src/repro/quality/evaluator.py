@@ -471,9 +471,6 @@ class QualityEvaluator:
                 cache[key] = quality
         return [cache[key] for key in keys]
 
-    def evaluate_many(self, plans: Sequence[MigrationPlan]) -> List[PlanQuality]:
-        return self.evaluate_batch(plans)
-
     # -- the K-objective execution engine --------------------------------------------------
     def _score_matrix(
         self,

@@ -14,6 +14,7 @@ Three laws anchor the multi-location generalization:
 
 import numpy as np
 import pytest
+from drl_oracles import agent_snapshot, per_sample_train
 from fingerprints import fingerprint_qualities, fingerprint_search_result
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -295,12 +296,42 @@ class TestMultiLocationSearch:
         )
         pairs = [([0, 1, 0, 2, 1, 0], [2, 0, 1, 0, 2, 1])]
 
-        def reward(child, _a, _b):
-            assert child[2] == ON_PREM
-            return 1.0 if child.count(ON_PREM) >= 2 else -1.0
+        def reward(children, _a, _b):
+            assert all(child[2] == ON_PREM for child in children)
+            return [1.0 if child.count(ON_PREM) >= 2 else -1.0 for child in children]
 
         history = agent.train(pairs, reward, iterations=5, batch_size=2)
         assert len(history.mean_rewards) == 5
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 4])
+    def test_agent_training_matches_per_sample_oracle(
+        self, tiny_stack, monkeypatch, batch_size
+    ):
+        """Minibatch reward scoring trains the 3-location agent bit for bit like the
+        per-sample loop, with pins and whitelists, and scores the same rows in order."""
+        app, build_evaluator = tiny_stack
+        preferences = MigrationPreferences(
+            pinned_placement={"Database": ON_PREM, "Notifier": 2},
+            allowed_locations={"Cache": (2,), "ServiceA": (CLOUD,)},
+        )
+        config = GAConfig(
+            train_iterations=12, train_batch_size=batch_size, train_pairs=6, seed=5
+        )
+
+        def train():
+            evaluator = build_evaluator(locations=THREE_LOCATIONS, preferences=preferences)
+            ga = AtlasGA(evaluator, app.component_names, config, locations=THREE_LOCATIONS)
+            ga.train_agent()
+            return ga.agent, evaluator
+
+        batched_agent, batched_eval = train()
+        monkeypatch.setattr(CrossoverAgent, "train", per_sample_train)
+        oracle_agent, oracle_eval = train()
+        assert agent_snapshot(batched_agent) == agent_snapshot(oracle_agent)
+        assert [q.plan.to_vector() for q in batched_eval.evaluated_qualities()] == [
+            q.plan.to_vector() for q in oracle_eval.evaluated_qualities()
+        ]
+        assert batched_eval.evaluations == oracle_eval.evaluations
 
     def test_ga_explores_every_location(self, tiny_stack):
         app, build_evaluator = tiny_stack

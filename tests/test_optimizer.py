@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from dataclasses import replace
+
+from drl_oracles import agent_snapshot, one_row_at_a_time, oracle_train, per_sample_train
+from fingerprints import GOLDEN_GA, build_tiny_evaluator
 from pareto_oracles import (
     oracle_merge_fronts,
     oracle_non_dominated_sort,
@@ -28,11 +32,13 @@ from repro.optimizer import (
     tournament_pairs,
     uniform_crossover,
 )
+from repro.optimizer import AtlasGA
 from repro.optimizer.atlas_ga import (
     _INFEASIBILITY_PENALTY,
     affinity_seed_vectors,
     penalized_objectives,
 )
+from repro.quality import MigrationPreferences
 from repro.quality.evaluator import PlanQuality
 
 
@@ -284,8 +290,8 @@ class TestCrossoverAgent:
         agent = CrossoverAgent(n_components=6, hidden_dims=(16, 16), learning_rate=5e-3, seed=2)
         pairs = [([0] * 6, [1] * 6), ([1] * 6, [0] * 6)]
 
-        def reward(child, _pa, _pb):
-            return float(sum(child)) - 3.0
+        def reward(children, _pa, _pb):
+            return [float(sum(child)) - 3.0 for child in children]
 
         history = agent.train(pairs, reward, iterations=150, batch_size=4)
         assert len(history.mean_rewards) == 150
@@ -297,8 +303,167 @@ class TestCrossoverAgent:
 
     def test_smoothed_rewards_length(self):
         agent = CrossoverAgent(n_components=3, hidden_dims=(8,), seed=3)
-        history = agent.train([([0, 0, 0], [1, 1, 1])], lambda c, a, b: 1.0, iterations=10, batch_size=1)
+        history = agent.train(
+            [([0, 0, 0], [1, 1, 1])], lambda c, a, b: [1.0] * len(c), iterations=10, batch_size=1
+        )
         assert len(history.smoothed_rewards()) == 10
+
+
+def _logging_reward(log):
+    """A batched reward that reads every gene, goes both signs and logs its rows."""
+
+    def reward(children, parents_a, parents_b):
+        out = []
+        for child, parent_a, parent_b in zip(children, parents_a, parents_b):
+            log.append((tuple(child), tuple(parent_a), tuple(parent_b)))
+            score = sum((i + 1) * v for i, v in enumerate(child)) - sum(parent_a)
+            out.append(float(score % 7) - 3.0 + 0.25 * sum(parent_b))
+        return out
+
+    return reward
+
+
+#: (locations, pins, whitelists) of the agents held to the per-sample oracle.
+_ORACLE_AGENTS = {
+    "binary": ((0, 1), {}, {}),
+    "binary-pins-whitelists": ((0, 1), {2: ON_PREM, 5: CLOUD}, {3: (ON_PREM,)}),
+    "3-location": ((0, 1, 2), {}, {}),
+    "3-location-pins-whitelists": ((0, 1, 2), {2: ON_PREM, 5: 2}, {3: (2,), 1: (1,)}),
+}
+
+
+class TestMinibatchTrainingMatchesOracle:
+    """Batched ``train`` is the per-sample loop of ``drl_oracles``, bit for bit."""
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 4])
+    @pytest.mark.parametrize("agent_kind", sorted(_ORACLE_AGENTS))
+    def test_agent_state_and_scored_rows_match(self, agent_kind, batch_size):
+        locations, pinned, allowed = _ORACLE_AGENTS[agent_kind]
+        pairs_rng = np.random.default_rng(17)
+        pairs = [
+            tuple([int(v) for v in pairs_rng.choice(locations, size=6)] for _ in range(2))
+            for _ in range(5)
+        ]
+
+        def make_agent():
+            return CrossoverAgent(
+                n_components=6, hidden_dims=(16, 8), seed=4, locations=locations,
+                pinned=pinned, allowed=allowed,
+            )
+
+        batched, batched_rows = make_agent(), []
+        batched.train(pairs, _logging_reward(batched_rows), iterations=12, batch_size=batch_size)
+        oracle, oracle_rows = make_agent(), []
+        oracle_train(
+            oracle, pairs, one_row_at_a_time(_logging_reward(oracle_rows)),
+            iterations=12, batch_size=batch_size,
+        )
+        assert agent_snapshot(batched) == agent_snapshot(oracle)
+        assert batched_rows == oracle_rows
+        assert len(batched_rows) == 12 * batch_size
+        assert all(
+            child[index] == loc for child, _, _ in batched_rows for index, loc in pinned.items()
+        )
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 4])
+    @pytest.mark.parametrize("whitelisted", [False, True])
+    def test_atlas_ga_training_matches_oracle(
+        self, tiny_telemetry, monkeypatch, batch_size, whitelisted
+    ):
+        app, result = tiny_telemetry
+        preferences = (
+            MigrationPreferences(
+                pinned_placement={"Database": ON_PREM, "Notifier": CLOUD},
+                allowed_locations={"Cache": ()},
+            )
+            if whitelisted
+            else None
+        )
+        config = replace(GOLDEN_GA, train_batch_size=batch_size)
+
+        def train():
+            evaluator = build_tiny_evaluator(app, result.telemetry, preferences=preferences)
+            ga = AtlasGA(evaluator, app.component_names, config=config)
+            ga.train_agent()
+            return ga, evaluator
+
+        batched_ga, batched_eval = train()
+        monkeypatch.setattr(CrossoverAgent, "train", per_sample_train)
+        oracle_ga, oracle_eval = train()
+        assert agent_snapshot(batched_ga.agent) == agent_snapshot(oracle_ga.agent)
+        assert [
+            (q.plan.to_vector(), q.objectives(), q.feasible)
+            for q in batched_eval.evaluated_qualities()
+        ] == [
+            (q.plan.to_vector(), q.objectives(), q.feasible)
+            for q in oracle_eval.evaluated_qualities()
+        ]
+        assert batched_eval.evaluations == oracle_eval.evaluations
+
+    def test_training_makes_one_evaluator_call_per_iteration(self, tiny_telemetry):
+        app, result = tiny_telemetry
+        evaluator = build_tiny_evaluator(app, result.telemetry)
+        config = replace(GOLDEN_GA, train_batch_size=4)
+        calls = []
+        score = evaluator.evaluate_vectors
+
+        def counted(vectors, components=None, **kwargs):
+            calls.append(len(vectors))
+            return score(vectors, components, **kwargs)
+
+        evaluator.evaluate_vectors = counted
+        AtlasGA(evaluator, app.component_names, config=config).train_agent()
+        assert 0 < len(calls) <= config.train_iterations
+        assert sum(calls) == 3 * config.train_iterations * config.train_batch_size
+
+    def test_reward_count_mismatch_raises(self):
+        agent = CrossoverAgent(n_components=3, hidden_dims=(8,), seed=3)
+        with pytest.raises(ValueError, match="rewards"):
+            agent.train(
+                [([0, 0, 0], [1, 1, 1])], lambda c, a, b: [1.0], iterations=1, batch_size=2
+            )
+
+
+class TestBatchedRewards:
+    """``AtlasGA.rewards`` over a batch equals one-row calls, evaluator state included."""
+
+    def test_batch_equals_per_row_calls(self, tiny_telemetry):
+        app, result = tiny_telemetry
+        n = len(app.component_names)
+        on_prem, cloud = [ON_PREM] * n, [CLOUD] * n
+        mixed = [ON_PREM, CLOUD] * (n // 2)
+        flipped = [CLOUD, ON_PREM] * (n // 2)
+        # Row 1 repeats row 0's child; row 2's child is row 3's parent.
+        children = [mixed, mixed, flipped, on_prem]
+        parents_a = [on_prem, cloud, cloud, flipped]
+        parents_b = [cloud, on_prem, on_prem, mixed]
+
+        def make_ga():
+            evaluator = build_tiny_evaluator(app, result.telemetry)
+            return AtlasGA(evaluator, app.component_names, config=GOLDEN_GA), evaluator
+
+        batched_ga, batched_eval = make_ga()
+        batched = batched_ga.rewards(children, parents_a, parents_b)
+        row_ga, row_eval = make_ga()
+        per_row = [
+            one_row_at_a_time(row_ga.rewards)(c, a, b)
+            for c, a, b in zip(children, parents_a, parents_b)
+        ]
+        assert batched == per_row
+        assert all(isinstance(r, float) for r in batched)
+        assert [q.plan.to_vector() for q in batched_eval.evaluated_qualities()] == [
+            q.plan.to_vector() for q in row_eval.evaluated_qualities()
+        ]
+        assert batched_eval.evaluations == row_eval.evaluations == 4
+
+    def test_misaligned_rows_raise(self, tiny_telemetry):
+        app, result = tiny_telemetry
+        ga = AtlasGA(
+            build_tiny_evaluator(app, result.telemetry), app.component_names, config=GOLDEN_GA
+        )
+        vector = [ON_PREM] * len(app.component_names)
+        with pytest.raises(ValueError, match="aligned"):
+            ga.rewards([vector, vector], [vector], [vector])
 
 
 def _quality(vector, perf, avail, cost, feasible=True):

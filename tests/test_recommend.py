@@ -164,7 +164,7 @@ class TestGACrossoverVariants:
         ga = AtlasGA(evaluator, app.component_names, SMALL_GA)
         all_cloud = [CLOUD] * len(app.component_names)
         all_onprem = [ON_PREM] * len(app.component_names)
-        reward = ga.reward(all_onprem, all_cloud, all_cloud)
+        (reward,) = ga.rewards([all_onprem], [all_cloud], [all_cloud])
         assert isinstance(reward, float)
         # The all-on-prem child violates the CPU limit -> negative reward.
         assert reward < 0

@@ -1,4 +1,4 @@
-"""The perf-trajectory report and its ``--check`` regression gate.
+"""The perf-trajectory report, its ``--check`` regression gate and the ledger writer.
 
 The gate is CI-facing: a synthetic ledger whose latest run dropped more than 10%
 off its best must make ``report.py --check`` exit non-zero, a mild drop must not,
@@ -7,11 +7,15 @@ against each other (the ``bench[mode]`` split).
 """
 
 import json
+import os
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
+import _shared  # noqa: E402  (benchmarks/_shared.py)
 import report  # noqa: E402  (benchmarks/report.py, stdlib-only)
 
 
@@ -105,3 +109,40 @@ class TestModeSplit:
             mode_of=lambda i: "chunked",
         )
         assert report.main(["--root", str(tmp_path), "--check"]) == 1
+
+
+class TestPersistRunMetrics:
+    """``persist_run_metrics`` appends atomically and never drops a ledger's history."""
+
+    def test_appends_to_an_existing_ledger(self, tmp_path):
+        target = tmp_path / "BENCH_x.json"
+        _ledger(target, "x", [1.0, 2.0])
+        _shared.persist_run_metrics("x", {"speedup": 3.0}, path=target)
+        runs = json.loads(target.read_text())["runs"]
+        assert [run["metrics"]["speedup"] for run in runs] == [1.0, 2.0, 3.0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCH_x.json"]
+
+    @pytest.mark.parametrize(
+        "content", ['{"schema": 1, "runs": [', '["not", "a", "ledger"]', '{"schema": 1}']
+    )
+    def test_unparsable_ledger_raises_and_is_left_untouched(self, tmp_path, content):
+        target = tmp_path / "BENCH_x.json"
+        target.write_text(content)
+        with pytest.raises(ValueError, match="ledger"):
+            _shared.persist_run_metrics("x", {"speedup": 3.0}, path=target)
+        assert target.read_text() == content
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCH_x.json"]
+
+    def test_failed_write_keeps_the_old_ledger(self, tmp_path, monkeypatch):
+        target = tmp_path / "BENCH_x.json"
+        _ledger(target, "x", [1.0])
+        before = target.read_text()
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            _shared.persist_run_metrics("x", {"speedup": 3.0}, path=target)
+        assert target.read_text() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCH_x.json"]
